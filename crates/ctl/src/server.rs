@@ -4,14 +4,17 @@
 //! ephemeral port before the ring even starts); [`CtlListener::serve`]
 //! spawns one accept thread that handles connections inline — the expected
 //! client population is one operator and one scraper, so a thread-per
-//! connection pool would be dead weight. The accept loop polls a
-//! non-blocking listener at 2 ms granularity and honours a stop flag, so
-//! [`CtlServer::shutdown`] always returns promptly and drops its
-//! `Arc<dyn ControlPlane>` (the runtime relies on that to reclaim sole
-//! ownership of its logs at teardown).
+//! connection pool would be dead weight. The accept thread blocks in
+//! `accept`, so a request is served the moment it connects, and re-checks
+//! a stop flag after every accepted connection. [`CtlServer::shutdown`]
+//! sets that flag and then wakes the thread with a connection of its own
+//! (to loopback when the listener is bound to a wildcard address), so it
+//! always returns promptly and drops its `Arc<dyn ControlPlane>` (the
+//! runtime relies on that to reclaim sole ownership of its logs at
+//! teardown).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -26,8 +29,9 @@ use crate::prom;
 /// How long a single connection may dawdle on reads/writes before being
 /// dropped; keeps a stuck client from wedging the accept loop.
 const STREAM_TIMEOUT: Duration = Duration::from_millis(2000);
-/// Accept-poll granularity.
-const POLL: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 
 /// A bound-but-not-yet-serving control listener.
 ///
@@ -44,7 +48,6 @@ impl CtlListener {
     /// Binds the control socket (port 0 picks an ephemeral port).
     pub fn bind(addr: SocketAddr) -> io::Result<CtlListener> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(CtlListener { listener, addr })
     }
@@ -85,10 +88,13 @@ impl CtlServer {
 
     /// Stops the accept loop and joins its thread (idempotent).
     pub fn shutdown(&mut self) {
+        let Some(handle) = self.handle.take() else { return };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        // Wake the blocked `accept`; the loop sees the flag and exits. If
+        // the thread already left the loop, the connect is refused or lands
+        // in the backlog of a listener about to close — harmless either way.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), STREAM_TIMEOUT);
+        let _ = handle.join();
     }
 }
 
@@ -98,13 +104,25 @@ impl Drop for CtlServer {
     }
 }
 
+/// Where [`CtlServer::shutdown`] connects to wake the accept thread: the
+/// listener's own address, with a wildcard IP replaced by loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 fn accept_loop(listener: TcpListener, plane: Arc<dyn ControlPlane>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The connection that woke us may be shutdown's own; drop it.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => handle_connection(stream, plane.as_ref()),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
             // Transient accept errors (ECONNABORTED etc.): keep serving.
-            Err(_) => thread::sleep(POLL),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -383,5 +401,40 @@ mod tests {
                 !matches!(s.read(&mut buf), Ok(n) if n > 0)
             }
         );
+    }
+
+    #[test]
+    fn idle_server_shuts_down_promptly_on_loopback_and_wildcard() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = CtlListener::bind(bind.parse().unwrap()).unwrap();
+            let mut server = listener.serve(MockPlane::new());
+            // Let the accept thread reach its blocking `accept`.
+            thread::sleep(Duration::from_millis(20));
+            let began = std::time::Instant::now();
+            server.shutdown();
+            let took = began.elapsed();
+            assert!(took < Duration::from_millis(100), "{bind}: shutdown took {took:?}");
+        }
+    }
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("127.0.0.1:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("10.1.2.3:8080"), "10.1.2.3:8080");
+    }
+
+    #[test]
+    fn serves_many_sequential_requests() {
+        let listener = CtlListener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = listener.local_addr().to_string();
+        let mut server = listener.serve(MockPlane::new());
+        for i in 0..200 {
+            let reply = crate::client::get(&addr, "/status").unwrap();
+            assert_eq!(reply.status, 200, "request {i}: {reply:?}");
+        }
+        server.shutdown();
     }
 }

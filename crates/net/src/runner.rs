@@ -241,9 +241,9 @@ where
     // Announce the initial state so coherent peers stay coherent and
     // incoherent ones converge; persist it so a crash before the first rule
     // firing still leaves a restorable snapshot.
+    set_gauges(&replica, &metrics);
     let _ = transport.publish(&replica.own);
     persist(&replica);
-    set_gauges(&replica, &metrics);
 
     while !control.should_exit() {
         // Adversarial state injection: swallow a deposited poison snapshot
@@ -282,13 +282,17 @@ where
                         // while it does its work.
                         thread::sleep(cfg.exec_delay);
                     }
-                    if replica.execute_one(&algo, i).is_some() {
+                    let fired = replica.execute_one(&algo, i).is_some();
+                    // Stamp the privilege change before the publish that
+                    // reveals it: a neighbour reacting to the new state must
+                    // log after us, or the log shows a gap that never was.
+                    log_transition(&replica, &mut last_privileged, &metrics);
+                    if fired {
                         NodeMetrics::inc(&metrics.rule_firings);
                         let _ = transport.publish(&replica.own);
                         last_progress = Instant::now();
                         resynced = false;
                     }
-                    log_transition(&replica, &mut last_privileged, &metrics);
                 }
                 persist(&replica);
             }
@@ -329,9 +333,9 @@ where
                     control.frozen.store(false, Ordering::Relaxed);
                     replica.cache_pred = replica.own.clone();
                     replica.cache_succ = replica.own.clone();
+                    log_transition(&replica, &mut last_privileged, &metrics);
                     transport.bump_generation(wd.generation_bump);
                     let _ = transport.publish(&replica.own);
-                    log_transition(&replica, &mut last_privileged, &metrics);
                     persist(&replica);
                     NodeMetrics::inc(&metrics.watchdog_restarts);
                     wd.outbox.lock().push(WatchdogEvent {
@@ -346,4 +350,102 @@ where
         }
     }
     (replica, transport)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::UdpTransport;
+    use ssr_core::{RingParams, SsrMin, SsrState};
+    use ssr_runtime::activity::analyze;
+    use std::io;
+
+    /// A transport that pauses after publishing a state with `tra` set — the
+    /// Rule 3 firing by which a node takes the secondary token — as if the
+    /// node were preempted right after handing that state to the wire.
+    struct SlowTakeover<T> {
+        inner: T,
+        pause: Duration,
+    }
+
+    impl<T: Transport<SsrState>> Transport<SsrState> for SlowTakeover<T> {
+        fn publish(&mut self, state: &SsrState) -> io::Result<()> {
+            let sent = self.inner.publish(state);
+            if state.tra {
+                thread::sleep(self.pause);
+            }
+            sent
+        }
+        fn pump(&mut self) -> io::Result<()> {
+            self.inner.pump()
+        }
+        fn try_recv(&mut self) -> Option<Inbound<SsrState>> {
+            self.inner.try_recv()
+        }
+    }
+
+    /// The old holder sees the taken secondary and gives the token up after
+    /// its 1 ms dwell, long before the new holder's 5 ms pause ends. The
+    /// activity log must still show a privileged node at every instant: the
+    /// new holder stamped its privilege before the publish revealed it.
+    #[test]
+    fn privilege_is_stamped_before_the_publish_that_reveals_it() {
+        let n = 4;
+        let algo = SsrMin::new(RingParams::new(n, n as u32 + 1).unwrap());
+        let initial = algo.legitimate_anchor(0);
+        let tick = Duration::from_millis(5);
+        let mut transports = (0..n)
+            .map(|i| {
+                let metrics = Arc::new(NodeMetrics::default());
+                let (pred, succ) = ((i + n - 1) % n, (i + 1) % n);
+                UdpTransport::bind(i as u16, pred as u16, succ as u16, tick, i as u64, metrics)
+            })
+            .collect::<io::Result<Vec<_>>>()
+            .unwrap();
+        let addrs: Vec<_> = transports.iter().map(|t| t.local_addrs().unwrap()).collect();
+        for (i, transport) in transports.iter_mut().enumerate() {
+            transport.wire(addrs[(i + n - 1) % n].succ, addrs[(i + 1) % n].pred);
+        }
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let start = Instant::now();
+        let cfg = NodeConfig { exec_delay: Duration::from_millis(1), ..NodeConfig::default() };
+        let mut initial_active = Vec::with_capacity(n);
+        let handles: Vec<_> = transports
+            .into_iter()
+            .enumerate()
+            .map(|(i, inner)| {
+                let (pred, succ) = ((i + n - 1) % n, (i + 1) % n);
+                let replica = Replica::coherent(initial[i], initial[pred], initial[succ]);
+                initial_active.push(replica.is_privileged(&algo, i));
+                let transport = SlowTakeover { inner, pause: Duration::from_millis(5) };
+                let control = NodeControl::new(Arc::clone(&stop));
+                let log = Arc::clone(&log);
+                let metrics = Arc::new(NodeMetrics::default());
+                thread::spawn(move || {
+                    run_node(algo, i, replica, transport, cfg, control, log, start, metrics)
+                })
+            })
+            .collect();
+
+        thread::sleep(Duration::from_millis(400));
+        stop.store(true, Ordering::Relaxed);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        let observed = start.elapsed();
+        let mut events = log.lock().clone();
+        events.sort_by_key(|e| e.at);
+
+        let coverage = analyze(&initial_active, &events, observed, Duration::ZERO);
+        assert!(coverage.activations >= 8, "the token barely moved: {coverage:?}");
+        assert!(
+            coverage.uncovered.is_zero(),
+            "log shows zero privileged nodes for {:?} (longest gap {:?}, {} gaps)",
+            coverage.uncovered,
+            coverage.longest_gap,
+            coverage.gaps
+        );
+    }
 }

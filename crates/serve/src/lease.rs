@@ -14,6 +14,7 @@
 //! the fact: sort the windows by grant time and no window may open before
 //! the previous one ended.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -121,7 +122,9 @@ struct LeaseInner {
     next_id: u64,
     current: Option<Lease>,
     counters: LeaseCounters,
-    history: Vec<LeaseWindow>,
+    /// Shared with every [`LeaseManager::history`] snapshot; a push copies
+    /// it only while a snapshot is still alive.
+    history: Arc<Vec<LeaseWindow>>,
     park: Option<ParkState>,
     /// xorshift64 state behind the parked retry-hint jitter; per-manager
     /// and advanced per refusal, so concurrent clients draw different
@@ -147,7 +150,7 @@ impl LeaseManager {
                 next_id: 1,
                 current: None,
                 counters: LeaseCounters::default(),
-                history: Vec::new(),
+                history: Arc::new(Vec::new()),
                 park: None,
                 jitter: 0x9E37_79B9_7F4A_7C15,
             }),
@@ -183,7 +186,7 @@ impl LeaseManager {
                 ended_us: self.us(lease.expires_at),
                 end: LeaseEnd::Expired,
             };
-            inner.history.push(window);
+            Arc::make_mut(&mut inner.history).push(window);
             inner.counters.expirations += 1;
             inner.current = None;
         } else if holder.is_some() && holder != Some(lease.node) {
@@ -194,7 +197,7 @@ impl LeaseManager {
                 ended_us: self.us(now),
                 end: LeaseEnd::Revoked,
             };
-            inner.history.push(window);
+            Arc::make_mut(&mut inner.history).push(window);
             inner.counters.revocations += 1;
             inner.current = None;
         }
@@ -266,7 +269,7 @@ impl LeaseManager {
                     ended_us: self.us(now),
                     end: LeaseEnd::Released,
                 };
-                inner.history.push(window);
+                Arc::make_mut(&mut inner.history).push(window);
                 inner.counters.releases += 1;
                 inner.current = None;
                 Ok(())
@@ -344,19 +347,27 @@ impl LeaseManager {
         self.inner.lock().counters
     }
 
-    /// Closed-lease windows so far (grant order).
-    pub fn history(&self) -> Vec<LeaseWindow> {
-        self.inner.lock().history.clone()
+    /// Closed-lease windows so far (grant order), as a shared snapshot:
+    /// later grants do not change it, and taking it copies nothing.
+    pub fn history(&self) -> Arc<Vec<LeaseWindow>> {
+        Arc::clone(&self.inner.lock().history)
     }
 }
 
 /// Check that a closed-lease history proves mutual exclusion: sorted by
 /// grant time, every window must start at or after the previous one ended.
-/// Returns the first overlapping pair if any.
+/// Returns the first overlapping pair if any. A history already in grant
+/// order (as [`LeaseManager::history`] returns it) is scanned in place.
 pub fn first_overlap(history: &[LeaseWindow]) -> Option<(LeaseWindow, LeaseWindow)> {
-    let mut sorted: Vec<LeaseWindow> = history.to_vec();
+    let overlap = |pairs: &[LeaseWindow]| {
+        pairs.windows(2).find(|p| p[1].granted_us < p[0].ended_us).map(|p| (p[0], p[1]))
+    };
+    if history.windows(2).all(|p| p[0].granted_us <= p[1].granted_us) {
+        return overlap(history);
+    }
+    let mut sorted = history.to_vec();
     sorted.sort_by_key(|w| w.granted_us);
-    sorted.windows(2).find(|pair| pair[1].granted_us < pair[0].ended_us).map(|p| (p[0], p[1]))
+    overlap(&sorted)
 }
 
 #[cfg(test)]
@@ -529,5 +540,31 @@ mod tests {
         assert!(first_overlap(&[w(0, 10), w(10, 20), w(25, 30)]).is_none());
         let bad = first_overlap(&[w(0, 10), w(9, 20)]).unwrap();
         assert_eq!((bad.0.ended_us, bad.1.granted_us), (10, 9));
+        // Out of grant order: sorted before the scan.
+        assert!(first_overlap(&[w(25, 30), w(0, 10), w(10, 20)]).is_none());
+        let bad = first_overlap(&[w(30, 40), w(9, 20), w(0, 10)]).unwrap();
+        assert_eq!((bad.0.ended_us, bad.1.granted_us), (10, 9));
+    }
+
+    #[test]
+    fn history_snapshot_is_unchanged_by_later_grants() {
+        let m = manager(10_000);
+        let grant = |m: &LeaseManager| match m.acquire("alice", Some(0)) {
+            Acquire::Granted(lease) => lease,
+            other => panic!("expected grant, got {other:?}"),
+        };
+        let first = grant(&m);
+        m.release(first.id, Some(0)).unwrap();
+        let snapshot = m.history();
+        for _ in 0..3 {
+            let lease = grant(&m);
+            m.release(lease.id, Some(0)).unwrap();
+        }
+        assert_eq!(snapshot.len(), 1);
+        assert_eq!(snapshot[0].id, first.id);
+        let now = m.history();
+        assert_eq!(now.len(), 4);
+        assert_eq!(now[0], snapshot[0]);
+        assert!(first_overlap(&now).is_none());
     }
 }
